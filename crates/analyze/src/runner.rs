@@ -57,19 +57,6 @@ pub fn analyze_run(
 /// Panics if the workload fails to compile or breaks its oracle.
 #[must_use]
 pub fn analyze(wl: &Workload) -> Analysis {
-    analyze_with(wl, false)
-}
-
-/// [`analyze`] with an explicit step-mode choice: `fast` runs the
-/// timing pass event-driven. The analysis artifact is byte-identical
-/// either way (the differential suite asserts it on the whole catalog);
-/// `fast` only changes how long the run takes.
-///
-/// # Panics
-///
-/// Panics if the workload fails to compile or breaks its oracle.
-#[must_use]
-pub fn analyze_with(wl: &Workload, fast: bool) -> Analysis {
     let cfg = MachineConfig::prescott();
     let copts = CompilerOptions::paper();
     let compiled = compile(&wl.graph, &copts).expect("workload compiles");
@@ -80,7 +67,6 @@ pub fn analyze_with(wl: &Workload, fast: bool) -> Analysis {
         .with_warmup(wl.warmup)
         .with_profile(true)
         .with_task_log(true)
-        .fast_sim(fast)
         .run(&compiled.schedule, &compiled.graph, &mut world);
     assert!(wl.matches_oracle(&world), "analyzed run must reproduce the oracle");
     analyze_run(&wl.name, &compiled.schedule, &compiled.graph, &report, &cfg, WaitPolicy::Mwait)
@@ -90,12 +76,5 @@ pub fn analyze_with(wl: &Workload, fast: bool) -> Analysis {
 /// name.
 #[must_use]
 pub fn analyze_workload(name: &str) -> Option<Analysis> {
-    analyze_workload_with(name, false)
-}
-
-/// [`analyze_workload`] with an explicit step-mode choice (see
-/// [`analyze_with`]).
-#[must_use]
-pub fn analyze_workload_with(name: &str, fast: bool) -> Option<Analysis> {
-    workloads::named(name).map(|wl| analyze_with(&wl, fast))
+    workloads::named(name).map(|wl| analyze(&wl))
 }

@@ -4,10 +4,10 @@
 //!
 //! ```text
 //! figures [SELECTOR] [--in-order] [--json PATH] [--trace PATH]
-//! figures profile WORKLOAD [--out DIR] [--interval N] [--in-order] [--fast-sim]
+//! figures profile WORKLOAD [--out DIR] [--interval N] [--in-order]
 //!                 [--check] [--update-baseline] [--baselines DIR] [--native [REPEATS]]
-//! figures analyze WORKLOAD [--out FILE] [--fast-sim]
-//! figures scale [WORKLOAD] [--max N] [--out FILE] [--fast-sim]
+//! figures analyze WORKLOAD [--out FILE]
+//! figures scale [WORKLOAD] [--max N] [--out FILE]
 //! figures diff A.json B.json [--strict]
 //! figures simspeed [--reps N] [--out FILE] [--check]
 //! figures servespeed [--reps N] [--out FILE] [--check]
@@ -63,10 +63,6 @@
 //! is still inspectable; `--update-baseline` regenerates the snapshot.
 //! `--native [REPEATS]` appends the native executor's wall-clock
 //! parity report (not deterministic, never written to `--out`).
-//! `--fast-sim` runs the timing pass in the event-driven step mode —
-//! every artifact is byte-identical to the cycle-stepped default (the
-//! differential suite asserts it), the run is just faster, so baseline
-//! checks are valid in either mode.
 //!
 //! `analyze WORKLOAD` runs one catalog workload with task logging on
 //! and prints the critical-path report: per-segment cycle attribution
@@ -80,8 +76,7 @@
 //! reports total cycles plus the speedup over one context per point.
 //! `--max N` caps the context count (the sweep doubles from 1 up to
 //! `N`, default 8); `--out FILE` also writes the curves as a
-//! deterministic JSON artifact; `--fast-sim` uses the event-driven
-//! step mode (identical numbers, faster runs).
+//! deterministic JSON artifact.
 //!
 //! `diff A.json B.json` compares two artifacts — committed baselines,
 //! `profile --out` documents, `analyze --out` reports, in any
@@ -174,7 +169,14 @@ struct Cli {
     trace: Option<String>,
 }
 
+/// Parse the figure-selector command line. Exits with code 2 on usage
+/// errors.
 fn parse_args() -> Cli {
+    let usage = |msg: &str| -> ! {
+        eprintln!("{msg}");
+        eprintln!("usage: figures [SELECTOR] [--in-order] [--json PATH] [--trace PATH]");
+        std::process::exit(2);
+    };
     let mut cli =
         Cli { which: "all".to_string(), in_order: false, list: false, json: None, trace: None };
     let mut args = std::env::args().skip(1);
@@ -182,8 +184,12 @@ fn parse_args() -> Cli {
         match a.as_str() {
             "--in-order" => cli.in_order = true,
             "--list" => cli.list = true,
-            "--json" => cli.json = Some(args.next().expect("--json needs a path")),
-            "--trace" => cli.trace = Some(args.next().expect("--trace needs a path")),
+            "--json" => {
+                cli.json = Some(args.next().unwrap_or_else(|| usage("--json needs a path")));
+            }
+            "--trace" => {
+                cli.trace = Some(args.next().unwrap_or_else(|| usage("--trace needs a path")));
+            }
             other => cli.which = other.to_string(),
         }
     }
@@ -328,7 +334,6 @@ fn profile_main(args: &[String]) -> ! {
     let mut interval: Option<u64> = None;
     let mut check = false;
     let mut in_order = false;
-    let mut fast_sim = false;
     let mut update_baseline = false;
     let mut baselines = "profiles/baselines".to_string();
     let mut native: Option<usize> = None;
@@ -337,7 +342,7 @@ fn profile_main(args: &[String]) -> ! {
         eprintln!("{msg}");
         eprintln!(
             "usage: figures profile WORKLOAD [--out DIR] [--interval N] [--in-order] \
-             [--fast-sim] [--check] [--update-baseline] [--baselines DIR] [--native [REPEATS]]"
+             [--check] [--update-baseline] [--baselines DIR] [--native [REPEATS]]"
         );
         eprintln!("workloads: {}", gpstream_tune::workloads::CATALOG.join(" "));
         std::process::exit(2);
@@ -361,7 +366,6 @@ fn profile_main(args: &[String]) -> ! {
             }
             "--check" => check = true,
             "--in-order" => in_order = true,
-            "--fast-sim" => fast_sim = true,
             "--update-baseline" => update_baseline = true,
             "--baselines" => baselines = value(args, &mut i, "--baselines"),
             "--native" => {
@@ -382,8 +386,7 @@ fn profile_main(args: &[String]) -> ! {
         i += 1;
     }
     let Some(workload) = workload else { usage("missing WORKLOAD") };
-    let Some(out) = fig::profiling::profile_workload(&workload, interval, in_order, fast_sim)
-    else {
+    let Some(out) = fig::profiling::profile_workload(&workload, interval, in_order) else {
         usage(&format!("unknown workload `{workload}`"))
     };
 
@@ -462,10 +465,9 @@ fn profile_main(args: &[String]) -> ! {
 fn analyze_main(args: &[String]) -> ! {
     let mut workload: Option<String> = None;
     let mut out_file: Option<String> = None;
-    let mut fast_sim = false;
     let usage = |msg: &str| -> ! {
         eprintln!("{msg}");
-        eprintln!("usage: figures analyze WORKLOAD [--out FILE] [--fast-sim]");
+        eprintln!("usage: figures analyze WORKLOAD [--out FILE]");
         eprintln!("workloads: {}", gpstream_tune::workloads::CATALOG.join(" "));
         std::process::exit(2);
     };
@@ -483,7 +485,6 @@ fn analyze_main(args: &[String]) -> ! {
                 out_file =
                     Some(args.get(i).cloned().unwrap_or_else(|| usage("--out needs a file path")));
             }
-            "--fast-sim" => fast_sim = true,
             other if workload.is_none() && !other.starts_with('-') => {
                 workload = Some(other.to_string());
             }
@@ -492,7 +493,7 @@ fn analyze_main(args: &[String]) -> ! {
         i += 1;
     }
     let Some(workload) = workload else { usage("missing WORKLOAD") };
-    let Some(analysis) = gpstream_analyze::analyze_workload_with(&workload, fast_sim) else {
+    let Some(analysis) = gpstream_analyze::analyze_workload(&workload) else {
         usage(&format!("unknown workload `{workload}`"))
     };
     print!("{}", gpstream_analyze::render::text(&analysis));
@@ -510,10 +511,9 @@ fn scale_main(args: &[String]) -> ! {
     let mut workload: Option<String> = None;
     let mut max: usize = 8;
     let mut out_file: Option<String> = None;
-    let mut fast_sim = false;
     let usage = |msg: &str| -> ! {
         eprintln!("{msg}");
-        eprintln!("usage: figures scale [WORKLOAD] [--max N] [--out FILE] [--fast-sim]");
+        eprintln!("usage: figures scale [WORKLOAD] [--max N] [--out FILE]");
         eprintln!("workloads: {}", gpstream_tune::workloads::CATALOG.join(" "));
         std::process::exit(2);
     };
@@ -541,7 +541,6 @@ fn scale_main(args: &[String]) -> ! {
                 out_file =
                     Some(args.get(i).cloned().unwrap_or_else(|| usage("--out needs a file path")));
             }
-            "--fast-sim" => fast_sim = true,
             other if workload.is_none() && !other.starts_with('-') => {
                 workload = Some(other.to_string());
             }
@@ -558,7 +557,7 @@ fn scale_main(args: &[String]) -> ! {
     };
     let mut rows = Vec::with_capacity(names.len());
     for name in &names {
-        let Some(row) = fig::scale::scale_workload(name, &counts, fast_sim) else {
+        let Some(row) = fig::scale::scale_workload(name, &counts) else {
             usage(&format!("unknown workload `{name}`"))
         };
         rows.push(row);

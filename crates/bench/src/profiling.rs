@@ -38,11 +38,8 @@ pub struct ProfileOutputs {
 /// [`workloads::CATALOG`]) at the given sampling interval. `in_order`
 /// profiles the run with head-blocking work queues instead of the
 /// default out-of-order `tail_depend` issue — diffing the two
-/// artifacts shows what the out-of-order queues buy. `fast` runs the
-/// timing pass in the event-driven step mode; every artifact is
-/// byte-identical either way (the differential suite asserts it), so
-/// baselines captured in one mode check cleanly in the other. Returns
-/// `None` for an unknown workload name.
+/// artifacts shows what the out-of-order queues buy. Returns `None`
+/// for an unknown workload name.
 ///
 /// # Panics
 ///
@@ -53,7 +50,6 @@ pub fn profile_workload(
     name: &str,
     interval: Option<u64>,
     in_order: bool,
-    fast: bool,
 ) -> Option<ProfileOutputs> {
     let wl = workloads::named(name)?;
     let copts = CompilerOptions::paper();
@@ -64,7 +60,6 @@ pub fn profile_workload(
         .with_srf(copts.srf)
         .with_warmup(wl.warmup)
         .in_order(in_order)
-        .fast_sim(fast)
         .with_profile(true)
         .with_sample_interval(interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL))
         .run(&compiled.schedule, &compiled.graph, &mut world);
@@ -129,13 +124,13 @@ mod tests {
 
     #[test]
     fn unknown_workload_is_none() {
-        assert!(profile_workload("not-a-workload", None, false, false).is_none());
+        assert!(profile_workload("not-a-workload", None, false).is_none());
     }
 
     #[test]
-    fn profile_outputs_are_deterministic_and_mode_independent() {
-        let a = profile_workload("ldstcomp", None, false, false).unwrap();
-        let b = profile_workload("ldstcomp", None, false, true).unwrap();
+    fn profile_outputs_are_deterministic() {
+        let a = profile_workload("ldstcomp", None, false).unwrap();
+        let b = profile_workload("ldstcomp", None, false).unwrap();
         assert_eq!(a.perf_stat, b.perf_stat);
         assert_eq!(a.topdown, b.topdown);
         assert_eq!(a.folded, b.folded);

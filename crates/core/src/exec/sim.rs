@@ -27,7 +27,7 @@ use crate::world::World;
 use gpstream_machine::ops::{AccessPattern, BulkOp, CopyDir, OpClass, Rw, WaitPolicy};
 use gpstream_machine::{
     ContextProgram, CounterSample, Machine, MachineConfig, MachineEventKind, MemStats, RunResult,
-    StepMode, TaskNode,
+    TaskNode,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -147,7 +147,7 @@ pub struct SimExecutor {
     trace: bool,
     profile: bool,
     task_log: bool,
-    fast_sim: bool,
+    stepped_oracle: bool,
     sample_interval: u64,
 }
 
@@ -188,7 +188,7 @@ impl Default for SimExecutor {
             trace: false,
             profile: false,
             task_log: false,
-            fast_sim: false,
+            stepped_oracle: false,
             sample_interval: DEFAULT_SAMPLE_INTERVAL,
         }
     }
@@ -315,15 +315,15 @@ impl SimExecutor {
         self
     }
 
-    /// Run the timing pass in the event-driven fast mode
-    /// ([`StepMode::Event`]): blocked-partner spans and provably-hitting
-    /// reference runs are replayed arithmetically instead of chunk by
-    /// chunk. Results are byte-identical to the default cycle-stepped
-    /// mode (the differential suite in `tests/differential.rs` asserts
-    /// this across the workload catalog); only wall-clock time changes.
+    /// Reference-oracle hook: run the timing pass cycle-stepped
+    /// ([`Machine::stepped_oracle`]) instead of event-driven. Reports are
+    /// byte-identical either way; only the differential suite in
+    /// `tests/differential.rs` and the sim-speed probe use it, to check
+    /// and time the production engine against the oracle.
+    #[doc(hidden)]
     #[must_use]
-    pub fn fast_sim(mut self, on: bool) -> Self {
-        self.fast_sim = on;
+    pub fn stepped_oracle(mut self) -> Self {
+        self.stepped_oracle = true;
         self
     }
 
@@ -404,8 +404,10 @@ impl SimExecutor {
             machine_cfg.contexts = machine_cfg.contexts.max(self.topology.contexts());
         }
         let mut machine = Machine::new(machine_cfg);
+        if self.stepped_oracle {
+            machine = machine.stepped_oracle();
+        }
         machine.install_srf(self.srf_cfg.range());
-        machine.set_step_mode(if self.fast_sim { StepMode::Event } else { StepMode::Stepped });
         if self.trace {
             machine.enable_trace();
         }

@@ -187,16 +187,17 @@ impl IssueState {
 /// How the run loops advance simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
-    /// Reference mode: advance in fixed element/cycle chunks, re-picking
-    /// the context and re-resolving waits between every chunk.
-    #[default]
+    /// Reference oracle: advance in fixed element/cycle chunks, re-picking
+    /// the context and re-resolving waits between every chunk. Reached
+    /// only through [`Machine::stepped_oracle`].
     Stepped,
-    /// Event-driven fast path: while the partner context is blocked, run
+    /// The production engine: while the partner context is blocked, run
     /// the picked context's current op to completion in one span, and
     /// replay provably-hitting cache/TLB reference runs arithmetically.
     /// Produces bit-identical results, counters, traces, profiles and
     /// samples to [`StepMode::Stepped`] (asserted by the differential
     /// equivalence suite).
+    #[default]
     Event,
 }
 
@@ -342,9 +343,15 @@ impl Machine {
         self.cfg.contexts
     }
 
-    /// Select the time-advance strategy for subsequent runs.
-    pub fn set_step_mode(&mut self, mode: StepMode) {
-        self.mode = mode;
+    /// Reference-oracle hook: advance time by cycle stepping
+    /// ([`StepMode::Stepped`]) instead of the event-driven engine. Results
+    /// are byte-identical; only the differential tests and the sim-speed
+    /// probe use it, to check and time the production engine against it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn stepped_oracle(mut self) -> Self {
+        self.mode = StepMode::Stepped;
+        self
     }
 
     /// The current time-advance strategy.
@@ -1243,7 +1250,6 @@ impl Machine {
 
     /// One [`BulkOp::Copy`] chunk with same-line runs batched.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     fn copy_chunk_fast(
         &mut self,
         cur: &mut [Cursor],
@@ -1941,6 +1947,13 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::prescott())
+    }
+
+    /// Production machines run event-driven; only the oracle hook steps.
+    #[test]
+    fn new_machines_run_event_driven() {
+        assert_eq!(machine().step_mode(), StepMode::Event);
+        assert_eq!(machine().stepped_oracle().step_mode(), StepMode::Stepped);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use gpstream_core::metrics::{BandwidthPoint, BandwidthSeries};
 use gpstream_core::srf::SrfConfig;
 use gpstream_machine::ops::{AccessPattern, BulkOp, CopyDir};
-use gpstream_machine::{Machine, MachineConfig};
+use gpstream_machine::{Machine, MachineConfig, RunResult};
 use gpstream_util::Rng64;
 use std::sync::Arc;
 
@@ -57,8 +57,15 @@ const STRIP_BYTES: usize = 128 * 1024;
 /// Measure one probe point: useful GB/s for the given record size.
 #[must_use]
 pub fn bandwidth(kind: ProbeKind, record: u64, nt: bool, cfg: &MachineConfig) -> f64 {
+    let (result, bytes) = run_probe(kind, record, nt, Machine::new(cfg.clone()));
+    result.bandwidth_gbps(bytes, cfg.freq_ghz)
+}
+
+/// Run one probe point on a fresh `machine` (its SRF is installed here)
+/// and return the run together with the useful bytes it moved.
+#[must_use]
+pub fn run_probe(kind: ProbeKind, record: u64, nt: bool, mut machine: Machine) -> (RunResult, u64) {
     let srf = SrfConfig::prescott();
-    let mut machine = Machine::new(cfg.clone());
     machine.install_srf(srf.range());
 
     let base = 0x4000_0000u64;
@@ -110,8 +117,7 @@ pub fn bandwidth(kind: ProbeKind, record: u64, nt: bool, cfg: &MachineConfig) ->
         start = end;
     }
 
-    let result = machine.run_single(ops);
-    result.bandwidth_gbps(count as u64 * FIELD_BYTES, cfg.freq_ghz)
+    (machine.run_single(ops), count as u64 * FIELD_BYTES)
 }
 
 /// Produce the full Figure 5 dataset: for each probe kind, a baseline

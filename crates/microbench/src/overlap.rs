@@ -6,7 +6,7 @@
 
 use gpstream_core::metrics::NormalizedBar;
 use gpstream_machine::ops::{AccessPattern, BulkOp, CopyDir};
-use gpstream_machine::{Machine, MachineConfig};
+use gpstream_machine::{Machine, MachineConfig, RunResult};
 
 /// Compute task: straight-line ALU work.
 fn comp_task(uops: u64) -> Vec<BulkOp> {
@@ -65,25 +65,28 @@ fn tasks_for(s: Scenario) -> [Vec<BulkOp>; 2] {
     }
 }
 
-/// Serial baseline: both tasks back to back on one context (ST mode).
-fn serial_cycles(s: Scenario, cfg: &MachineConfig) -> u64 {
+/// Serial baseline on a fresh `machine`: both tasks back to back on one
+/// context (ST mode).
+#[must_use]
+pub fn serial_run(s: Scenario, mut machine: Machine) -> RunResult {
     let [a, b] = tasks_for(s);
-    let mut machine = Machine::new(cfg.clone());
     let mut ops = a;
     ops.extend(b);
-    machine.run_single(ops).cycles
+    machine.run_single(ops)
 }
 
-/// Parallel execution across the two contexts.
-fn parallel_cycles(s: Scenario, cfg: &MachineConfig) -> u64 {
-    let mut machine = Machine::new(cfg.clone());
-    machine.run(tasks_for(s)).cycles
+/// Parallel execution across the two contexts of a fresh `machine`.
+#[must_use]
+pub fn parallel_run(s: Scenario, mut machine: Machine) -> RunResult {
+    machine.run(tasks_for(s))
 }
 
 /// Normalized execution time of one scenario (serial = 100).
 #[must_use]
 pub fn normalized_time(s: Scenario, cfg: &MachineConfig) -> f64 {
-    100.0 * parallel_cycles(s, cfg) as f64 / serial_cycles(s, cfg) as f64
+    let parallel = parallel_run(s, Machine::new(cfg.clone())).cycles;
+    let serial = serial_run(s, Machine::new(cfg.clone())).cycles;
+    100.0 * parallel as f64 / serial as f64
 }
 
 /// The full Figure 6 dataset.

@@ -1,15 +1,16 @@
-//! Sim-speed probe: wall-clock throughput of the timing engine in its
-//! two step modes.
+//! Sim-speed probe: wall-clock throughput of the event-driven timing
+//! engine against its cycle-stepped reference oracle.
 //!
 //! Every other benchmark in this crate measures *simulated* cycles; this
 //! one measures the simulator itself. For each workload it captures one
-//! warmed [`SimSnapshot`](gpstream_core::exec::sim::SimSnapshot) per step
-//! mode and times only the measured iteration
-//! ([`SimExecutor::resume_from`]), reporting simulated-cycles-per-second
-//! for cycle-stepped vs event-driven execution. The two modes are
-//! byte-identical by construction (see `tests/differential.rs`), so the
-//! simulated cycle counts must agree — the probe asserts it — and the
-//! only difference left to report is wall-clock speed.
+//! warmed [`SimSnapshot`](gpstream_core::exec::sim::SimSnapshot) for the
+//! production engine and one for the oracle
+//! ([`SimExecutor::stepped_oracle`]) and times only the measured
+//! iteration ([`SimExecutor::resume_from`]), reporting
+//! simulated-cycles-per-second for each. The two are byte-identical by
+//! construction (see `tests/differential.rs`), so the simulated cycle
+//! counts must agree — the probe asserts it — and the only difference
+//! left to report is wall-clock speed.
 
 use gpstream_apps::{cdp, spas};
 use gpstream_compiler::{compile, CompilerOptions};
@@ -69,8 +70,9 @@ fn rate(cycles: u64, ns: u64) -> f64 {
     cycles as f64 * 1e9 / ns as f64
 }
 
-/// Measure one workload: capture a warmed snapshot per step mode, then
-/// time `reps` measured iterations of each and keep the best.
+/// Measure one workload: capture a warmed snapshot for the production
+/// engine and for the stepped oracle, then time `reps` measured
+/// iterations of each and keep the best.
 ///
 /// # Panics
 ///
@@ -88,8 +90,11 @@ pub fn measure(
     assert!(reps > 0, "need at least one rep");
     let copts = CompilerOptions::paper();
     let compiled = compile(graph, &copts).expect("workload compiles");
-    let time_mode = |fast: bool| -> (u64, u64) {
-        let exec = SimExecutor::new().with_srf(copts.srf).with_warmup(warmup).fast_sim(fast);
+    let time_mode = |oracle: bool| -> (u64, u64) {
+        let mut exec = SimExecutor::new().with_srf(copts.srf).with_warmup(warmup);
+        if oracle {
+            exec = exec.stepped_oracle();
+        }
         let mut w = world.clone();
         let snap = exec.snapshot(&compiled.schedule, &compiled.graph, &mut w);
         let mut best = u64::MAX;
@@ -103,8 +108,8 @@ pub fn measure(
         }
         (best, cycles)
     };
-    let (stepped_ns, stepped_cycles) = time_mode(false);
-    let (event_ns, event_cycles) = time_mode(true);
+    let (stepped_ns, stepped_cycles) = time_mode(true);
+    let (event_ns, event_cycles) = time_mode(false);
     assert_eq!(
         stepped_cycles, event_cycles,
         "{name}: step modes disagree on simulated cycles — equivalence broken"

@@ -8,7 +8,7 @@
 
 use gpstream_core::metrics::NormalizedBar;
 use gpstream_machine::ops::{AccessPattern, BulkOp, CopyDir, WaitPolicy};
-use gpstream_machine::{Machine, MachineConfig};
+use gpstream_machine::{Machine, MachineConfig, RunResult};
 
 /// The co-running task flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,27 +34,29 @@ fn task_ops(kind: TaskKind) -> Vec<BulkOp> {
     }
 }
 
-/// Cycles for the task running alone in single-thread mode.
+/// The task running alone in single-thread mode on a fresh `machine`.
 #[must_use]
-pub fn solo_cycles(kind: TaskKind, cfg: &MachineConfig) -> u64 {
-    Machine::new(cfg.clone()).run_single(task_ops(kind)).cycles
+pub fn solo_run(kind: TaskKind, mut machine: Machine) -> RunResult {
+    machine.run_single(task_ops(kind))
 }
 
-/// Cycles for the task while the partner context busy-waits with `policy`
-/// until the task signals completion.
+/// The task on context 0 of a fresh `machine` while context 1
+/// busy-waits with `policy` until the task signals completion.
 #[must_use]
-pub fn waited_cycles(kind: TaskKind, policy: WaitPolicy, cfg: &MachineConfig) -> u64 {
+pub fn waited_run(kind: TaskKind, policy: WaitPolicy, mut machine: Machine) -> RunResult {
     let mut task = task_ops(kind);
     task.push(BulkOp::Signal { id: 1 });
     let waiter = vec![BulkOp::Wait { id: 1, policy }];
-    Machine::new(cfg.clone()).run([task, waiter]).ctx_cycles[0]
+    machine.run([task, waiter])
 }
 
 /// Normalized execution time (solo = 100) of a task co-running with a
 /// busy-waiting partner.
 #[must_use]
 pub fn normalized(kind: TaskKind, policy: WaitPolicy, cfg: &MachineConfig) -> f64 {
-    100.0 * waited_cycles(kind, policy, cfg) as f64 / solo_cycles(kind, cfg) as f64
+    let waited = waited_run(kind, policy, Machine::new(cfg.clone())).ctx_cycles[0];
+    let solo = solo_run(kind, Machine::new(cfg.clone())).cycles;
+    100.0 * waited as f64 / solo as f64
 }
 
 /// The full Figure 8 dataset: four bars (PAUSE/MWAIT x compute/memory).
@@ -72,15 +74,24 @@ pub fn figure8(cfg: &MachineConfig) -> Vec<NormalizedBar> {
     bars
 }
 
+/// How long the signaling context delays before it signals in
+/// [`dispatch_run`].
+const DISPATCH_LEAD: u64 = 10_000;
+
+/// A deliberately idle waiter on context 1 of a fresh `machine`, woken
+/// by context 0 after a fixed lead.
+#[must_use]
+pub fn dispatch_run(policy: WaitPolicy, mut machine: Machine) -> RunResult {
+    let signaler = vec![BulkOp::Delay { cycles: DISPATCH_LEAD }, BulkOp::Signal { id: 7 }];
+    let waiter = vec![BulkOp::Wait { id: 7, policy }];
+    machine.run([signaler, waiter])
+}
+
 /// Measured dispatch latency of a wait policy: cycles from the signal to
 /// the waiter resuming, using a deliberately idle waiter.
 #[must_use]
 pub fn dispatch_latency(policy: WaitPolicy, cfg: &MachineConfig) -> u64 {
-    const LEAD: u64 = 10_000;
-    let signaler = vec![BulkOp::Delay { cycles: LEAD }, BulkOp::Signal { id: 7 }];
-    let waiter = vec![BulkOp::Wait { id: 7, policy }];
-    let r = Machine::new(cfg.clone()).run([signaler, waiter]);
-    r.ctx_cycles[1] - LEAD
+    dispatch_run(policy, Machine::new(cfg.clone())).ctx_cycles[1] - DISPATCH_LEAD
 }
 
 #[cfg(test)]

@@ -49,16 +49,13 @@ pub fn cache_key(wl: &Workload, graph_fp: u64, machine_fp: u64, point: &TunedCon
 ///
 /// The timing run is split into [`SimExecutor::snapshot`] (functional
 /// pass plus the warm-up prefix) and [`SimExecutor::resume_from`] (the
-/// measured iteration), and `fast` selects the event-driven step mode
-/// for both — results are byte-identical either way (the differential
-/// suite asserts it), so cached cycle counts stay valid across modes.
+/// measured iteration).
 #[must_use]
 pub fn evaluate(
     wl: &Workload,
     base_copts: &CompilerOptions,
     base_mcfg: &MachineConfig,
     point: &TunedConfig,
-    fast: bool,
 ) -> Evaluated {
     let copts = base_copts.apply_tuned(point);
     let compiled = match gpstream_compiler::compile(&wl.graph, &copts) {
@@ -70,8 +67,7 @@ pub fn evaluate(
         .with_machine(base_mcfg.clone())
         .with_srf(copts.srf)
         .with_warmup(wl.warmup)
-        .with_tuned(point)
-        .fast_sim(fast);
+        .with_tuned(point);
     let snap = exec.snapshot(&compiled.schedule, &compiled.graph, &mut world);
     if !wl.matches_oracle(&world) {
         return Evaluated::Rejected("oracle mismatch".to_string());
@@ -95,7 +91,6 @@ pub fn counter_profile(
     base_copts: &CompilerOptions,
     base_mcfg: &MachineConfig,
     point: &TunedConfig,
-    fast: bool,
 ) -> Vec<(String, f64)> {
     let copts = base_copts.apply_tuned(point);
     let compiled =
@@ -106,7 +101,6 @@ pub fn counter_profile(
         .with_srf(copts.srf)
         .with_warmup(wl.warmup)
         .with_tuned(point)
-        .fast_sim(fast)
         .run(&compiled.schedule, &compiled.graph, &mut world);
     assert!(wl.matches_oracle(&world), "profiled point must reproduce the oracle");
     gpstream_profile::CounterSet::from(&report.timing).all_values()
@@ -122,7 +116,7 @@ mod tests {
         let wl = micro("ldstcomp", 256, 1);
         let mcfg = MachineConfig::prescott();
         let point = TunedConfig::default_heuristic(&mcfg);
-        match evaluate(&wl, &CompilerOptions::paper(), &mcfg, &point, true) {
+        match evaluate(&wl, &CompilerOptions::paper(), &mcfg, &point) {
             Evaluated::Cycles(c) => assert!(c > 0),
             Evaluated::Rejected(why) => panic!("baseline rejected: {why}"),
         }
@@ -133,29 +127,8 @@ mod tests {
         let wl = micro("ldstcomp", 256, 1);
         let mcfg = MachineConfig::prescott();
         let point = TunedConfig { strip_items: Some(0), ..TunedConfig::default_heuristic(&mcfg) };
-        let ev = evaluate(&wl, &CompilerOptions::paper(), &mcfg, &point, true);
+        let ev = evaluate(&wl, &CompilerOptions::paper(), &mcfg, &point);
         assert_eq!(ev.cycles(), None);
-    }
-
-    /// The step mode must never change what the tuner measures: cycle
-    /// counts and the full winner profile agree between the stepped and
-    /// event-driven engines, so cached evaluations carry across modes.
-    #[test]
-    fn step_modes_agree_on_evaluation_and_profile() {
-        let wl = micro("gatscat", 512, 2);
-        let mcfg = MachineConfig::prescott();
-        let copts = CompilerOptions::paper();
-        let point = TunedConfig::default_heuristic(&mcfg);
-        assert_eq!(
-            evaluate(&wl, &copts, &mcfg, &point, false),
-            evaluate(&wl, &copts, &mcfg, &point, true),
-            "evaluation cycles differ between step modes"
-        );
-        assert_eq!(
-            counter_profile(&wl, &copts, &mcfg, &point, false),
-            counter_profile(&wl, &copts, &mcfg, &point, true),
-            "winner profile differs between step modes"
-        );
     }
 
     #[test]

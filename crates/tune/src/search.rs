@@ -59,11 +59,6 @@ pub struct Tuner {
     /// Native threads evaluations fan across (results are
     /// index-addressed, so this cannot affect the outcome).
     pub threads: usize,
-    /// Run candidate simulations in the event-driven fast step mode
-    /// (default). The two modes are byte-identical — the differential
-    /// suite asserts it — so this cannot affect which point wins, only
-    /// how fast the search runs; cached evaluations carry across modes.
-    pub fast_sim: bool,
     /// Memoized evaluations.
     pub cache: EvalCache,
 }
@@ -76,7 +71,6 @@ impl Default for Tuner {
             budget: 64,
             seed: crate::workloads::SEED,
             threads: 4,
-            fast_sim: true,
             cache: EvalCache::disabled(),
         }
     }
@@ -217,7 +211,6 @@ impl<'a> Run<'a> {
             let wl = self.wl;
             let copts = &self.tuner.base_copts;
             let mcfg = &self.tuner.base_mcfg;
-            let fast = self.tuner.fast_sim;
             let pts = &fresh;
             let evaluated: Vec<(usize, Option<u64>)> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..n_threads)
@@ -226,7 +219,7 @@ impl<'a> Run<'a> {
                             misses.iter().copied().skip(t).step_by(n_threads).collect();
                         s.spawn(move || {
                             idxs.into_iter()
-                                .map(|i| (i, evaluate(wl, copts, mcfg, &pts[i], fast).cycles()))
+                                .map(|i| (i, evaluate(wl, copts, mcfg, &pts[i]).cycles()))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -330,13 +323,8 @@ impl Tuner {
 
         let (best, best_cycles) = run.best().expect("baseline guarantees a valid point");
         let rejected = run.results.iter().filter(|(_, c)| c.is_none()).count();
-        let winner_profile = crate::eval::counter_profile(
-            wl,
-            &self.base_copts,
-            &self.base_mcfg,
-            &best,
-            self.fast_sim,
-        );
+        let winner_profile =
+            crate::eval::counter_profile(wl, &self.base_copts, &self.base_mcfg, &best);
         TuneOutcome {
             workload: wl.name.clone(),
             strategy,

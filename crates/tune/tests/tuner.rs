@@ -64,9 +64,8 @@ fn winner_is_valid_beats_or_ties_baseline_and_round_trips() {
     assert_eq!(out.rejected, 0, "validate() pruning must keep rejects out of the search");
 
     // The winner reproduces the functional oracle bit-for-bit when
-    // re-evaluated from scratch — in the cycle-stepped mode, so the
-    // fast-sim search is cross-checked against the reference engine.
-    match evaluate(&wl, &tuner.base_copts, &tuner.base_mcfg, &out.best, false) {
+    // re-evaluated from scratch.
+    match evaluate(&wl, &tuner.base_copts, &tuner.base_mcfg, &out.best) {
         Evaluated::Cycles(c) => assert_eq!(c, out.best_cycles, "re-evaluation must agree"),
         Evaluated::Rejected(why) => panic!("winner rejected on re-evaluation: {why}"),
     }

@@ -102,6 +102,11 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every artifact
+/// the tools write nests a handful of levels; the bound keeps a hostile
+/// or corrupt document from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 512;
+
 /// Error from [`Json::parse`]: what went wrong and the byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonParseError {
@@ -128,11 +133,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonParseError`] with the failing byte offset on
-    /// malformed input.
+    /// malformed input, including arrays/objects nested deeper than
+    /// [`MAX_DEPTH`] (reported at the first bracket past the limit).
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing content after document"));
@@ -245,20 +251,24 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonParseError> {
+    /// One value nested inside `depth` enclosing arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonParseError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -268,7 +278,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -281,7 +291,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonParseError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -295,7 +305,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            pairs.push((key, self.value()?));
+            pairs.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -528,6 +538,31 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated", "{\"a\" 1}"] {
             let e = Json::parse(bad).expect_err(bad);
             assert!(!e.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            // 100 000 levels used to overflow the stack; now the parser
+            // stops at the first bracket past the limit.
+            for depth in [100_000, MAX_DEPTH + 1] {
+                let e = Json::parse(&nested(depth, open, close)).expect_err("too deep");
+                assert_eq!(e.offset, MAX_DEPTH * open.len(), "{open} x {depth}");
+                assert!(e.message.contains("nesting"), "{e}");
+            }
+            let mut v = Json::parse(&nested(MAX_DEPTH, open, close)).expect("at the limit");
+            for _ in 0..MAX_DEPTH {
+                v = match v {
+                    Json::Arr(mut items) => items.pop().unwrap(),
+                    Json::Obj(mut pairs) => pairs.pop().unwrap().1,
+                    other => panic!("expected a container, got {other:?}"),
+                };
+            }
+            assert_eq!(v, Json::U64(0));
         }
     }
 

@@ -8,21 +8,27 @@
 //! the native executor re-orders work across real threads (where any
 //! dependency bug shows up as a divergent byte).
 //!
-//! The second half is the **sim-equivalence suite**: the event-driven
-//! fast path ([`SimExecutor::fast_sim`]) must be *byte-identical* to
-//! cycle-stepping — same `RunResult`, trace, task log, profile counters,
-//! interval samples, and analyze artifacts — across the workload catalog
-//! × {in-order, out-of-order} × two strip sizes. Per-commit runs use
-//! micro-sized versions of all seven catalog shapes; the full
-//! paper-scale catalog runs under `--ignored` in release CI.
+//! The second half is the **sim-equivalence suite**: the production
+//! event-driven engine must be *byte-identical* to its cycle-stepping
+//! reference oracle ([`SimExecutor::stepped_oracle`]) — same
+//! `RunResult`, trace, task log, profile counters, interval samples, and
+//! analyze artifacts — across the workload catalog × {in-order,
+//! out-of-order} × two strip sizes. Per-commit runs use micro-sized
+//! versions of all seven catalog shapes; the full paper-scale catalog
+//! runs under `--ignored` in release CI.
 
 use gpstream::apps::{cdp, fem, neo, spas};
 use gpstream::compiler::{compile, CompilerOptions};
 use gpstream::core::exec::functional::FunctionalExecutor;
 use gpstream::core::exec::native::{NativeExecutor, NativeWaitPolicy};
 use gpstream::core::exec::sim::{SimExecutor, SimReport};
+use gpstream::core::regular::RegularProgram;
 use gpstream::core::{ScheduledProgram, StreamGraph, World};
-use gpstream::machine::WaitPolicy;
+use gpstream::machine::{Machine, MachineConfig, RunResult, WaitPolicy};
+use gpstream::microbench::bwprobe::{self, ProbeKind};
+use gpstream::microbench::kernels;
+use gpstream::microbench::overlap::{self, Scenario};
+use gpstream::microbench::spinwait::{self, TaskKind};
 use gpstream_analyze::{render as analyze_render, runner::analyze_run};
 use gpstream_profile::counters::CounterSet;
 use gpstream_profile::report::{profile_json, samples_csv};
@@ -138,7 +144,7 @@ fn sim_equivalence(wl: &Workload) {
         let compiled = compile(&wl.graph, &copts).expect("workload compiles");
         for in_order in [false, true] {
             let ctx = format!("{} strip={strip:?} in_order={in_order}", wl.name);
-            let exec = |fast: bool| {
+            let exec = || {
                 SimExecutor::new()
                     .with_srf(copts.srf)
                     .with_warmup(wl.warmup)
@@ -147,12 +153,12 @@ fn sim_equivalence(wl: &Workload) {
                     .with_profile(true)
                     .with_task_log(true)
                     .with_sample_interval(4096)
-                    .fast_sim(fast)
             };
             let mut w_stepped = wl.world.clone();
-            let stepped = exec(false).run(&compiled.schedule, &compiled.graph, &mut w_stepped);
+            let stepped =
+                exec().stepped_oracle().run(&compiled.schedule, &compiled.graph, &mut w_stepped);
             let mut w_event = wl.world.clone();
-            let event = exec(true).run(&compiled.schedule, &compiled.graph, &mut w_event);
+            let event = exec().run(&compiled.schedule, &compiled.graph, &mut w_event);
 
             assert!(wl.matches_oracle(&w_stepped), "{ctx}: stepped run broke the oracle");
             assert_worlds_identical(&ctx, "stepped", &w_stepped, "event", &w_event);
@@ -194,17 +200,13 @@ fn sim_equivalence(wl: &Workload) {
             // mode may run whole ops greedily inside spans — a different
             // internal path than the sampled runs above, so it gets its
             // own byte-identity check.
-            let bare = |fast: bool| {
-                SimExecutor::new()
-                    .with_srf(copts.srf)
-                    .with_warmup(wl.warmup)
-                    .in_order(in_order)
-                    .fast_sim(fast)
-            };
+            let bare =
+                || SimExecutor::new().with_srf(copts.srf).with_warmup(wl.warmup).in_order(in_order);
             let mut wb_stepped = wl.world.clone();
-            let b_stepped = bare(false).run(&compiled.schedule, &compiled.graph, &mut wb_stepped);
+            let b_stepped =
+                bare().stepped_oracle().run(&compiled.schedule, &compiled.graph, &mut wb_stepped);
             let mut wb_event = wl.world.clone();
-            let b_event = bare(true).run(&compiled.schedule, &compiled.graph, &mut wb_event);
+            let b_event = bare().run(&compiled.schedule, &compiled.graph, &mut wb_event);
             assert_worlds_identical(&ctx, "bare stepped", &wb_stepped, "bare event", &wb_event);
             assert_eq!(
                 format!("{:?}", b_stepped.timing),
@@ -287,6 +289,102 @@ fn full_catalog_sim_modes_agree() {
     for name in workloads::CATALOG {
         let wl = workloads::named(name).expect("catalog name resolves");
         sim_equivalence(&wl);
+    }
+}
+
+/// Assert two single-machine runs are byte-identical: cycles,
+/// per-context cycles, `MemStats` and phases.
+fn assert_runs_identical(ctx: &str, event: &RunResult, stepped: &RunResult) {
+    assert_eq!(
+        format!("{event:?}"),
+        format!("{stepped:?}"),
+        "{ctx}: RunResult differs between the event engine and the stepped oracle"
+    );
+}
+
+/// Run `run` on a fresh production machine and on a fresh stepped-oracle
+/// machine and assert the two results are byte-identical.
+fn machine_equivalence(ctx: &str, run: impl Fn(Machine) -> RunResult) {
+    let cfg = MachineConfig::prescott();
+    let event = run(Machine::new(cfg.clone()));
+    assert_runs_identical(ctx, &event, &run(Machine::new(cfg).stepped_oracle()));
+}
+
+/// Time a regular program through its production entry points
+/// (`simulate`, `simulate_warm`) and the same runs on a stepped-oracle
+/// machine; cold and warm results must be byte-identical.
+fn regular_equivalence(name: &str, regular: &RegularProgram, world: &World) {
+    let cfg = MachineConfig::prescott();
+    let cold = regular.simulate(&mut world.clone(), &cfg);
+    let warm = regular.simulate_warm(&mut world.clone(), &cfg);
+
+    let mut w = world.clone();
+    regular.run_functional(&mut w);
+    let ops = regular.lower(&w);
+    let mut oracle = Machine::new(cfg).stepped_oracle();
+    assert_runs_identical(&format!("{name} cold"), &cold, &oracle.run_single(ops.clone()));
+    oracle.reset_time();
+    assert_runs_identical(&format!("{name} warm"), &warm, &oracle.run_single(ops));
+}
+
+/// The regular (conventional) twin of every catalog program, micro-sized:
+/// these run on one context straight through `Machine::run_single`, not
+/// through `SimExecutor`.
+#[test]
+fn regular_programs_step_modes_agree() {
+    let s = workloads::SEED;
+    for mb in [
+        kernels::ld_st_comp(4096, 4),
+        kernels::gat_scat_comp(4096, 4),
+        kernels::prod_con(4096, 4),
+        kernels::stream_triad(4096),
+    ] {
+        regular_equivalence(&mb.name, &mb.regular, &mb.regular_world);
+    }
+    let mut apps: Vec<_> = fem::CONFIGS.iter().map(|&c| fem::fem_bench(c, 600, s)).collect();
+    apps.push(cdp::cdp_bench(cdp::CdpConfig { name: "6n-512", k: 6, n: 512 }, s));
+    apps.push(neo::neo_bench(512, s));
+    apps.push(spas::spas_bench(400, 24, s));
+    for app in &apps {
+        regular_equivalence(&app.name, &app.regular, &app.regular_world);
+    }
+}
+
+/// Figure 5 bandwidth probes at a handful of points, sequential and
+/// random, with and without non-temporal hints.
+#[test]
+fn bandwidth_probes_step_modes_agree() {
+    for (kind, record, nt) in [
+        (ProbeKind::SeqLoad, 4, false),
+        (ProbeKind::SeqLoad, 128, true),
+        (ProbeKind::SeqStore, 8, false),
+        (ProbeKind::RandGather, 128, false),
+        (ProbeKind::RandScatter, 64, true),
+    ] {
+        machine_equivalence(&format!("{kind:?} record={record} nt={nt}"), |m| {
+            bwprobe::run_probe(kind, record, nt, m).0
+        });
+    }
+}
+
+/// Figure 6 overlap scenarios and Figure 8 busy-wait / dispatch runs.
+#[test]
+fn overlap_and_spinwait_step_modes_agree() {
+    for s in Scenario::ALL {
+        machine_equivalence(&format!("{s:?} serial"), |m| overlap::serial_run(s, m));
+        machine_equivalence(&format!("{s:?} parallel"), |m| overlap::parallel_run(s, m));
+    }
+    let policies = [WaitPolicy::SpinPause, WaitPolicy::Mwait, WaitPolicy::OsBlock];
+    for kind in [TaskKind::Compute, TaskKind::Memory] {
+        machine_equivalence(&format!("solo {kind:?}"), |m| spinwait::solo_run(kind, m));
+        for policy in policies {
+            machine_equivalence(&format!("{kind:?} vs {policy:?} waiter"), |m| {
+                spinwait::waited_run(kind, policy, m)
+            });
+        }
+    }
+    for policy in policies {
+        machine_equivalence(&format!("dispatch {policy:?}"), |m| spinwait::dispatch_run(policy, m));
     }
 }
 

@@ -845,7 +845,7 @@ fn event_mode_equals_stepped_on_random_machines() {
         let profile = rng.bool();
         let interval = rng.range_u64(128, 8192);
 
-        let run = |fast: bool| {
+        let run = |oracle: bool| {
             let mut w = world.clone();
             let mut exec = SimExecutor::new()
                 .with_machine(mcfg.clone())
@@ -855,8 +855,10 @@ fn event_mode_equals_stepped_on_random_machines() {
                 .in_order(in_order)
                 .single_context(single)
                 .with_trace(true)
-                .with_task_log(true)
-                .fast_sim(fast);
+                .with_task_log(true);
+            if oracle {
+                exec = exec.stepped_oracle();
+            }
             if profile {
                 exec = exec.with_profile(true).with_sample_interval(interval);
             }
@@ -864,8 +866,8 @@ fn event_mode_equals_stepped_on_random_machines() {
             let bits: Vec<u32> = w.slice::<f32>(y.id()).iter().map(|v| v.to_bits()).collect();
             (format!("{r:?}"), bits)
         };
-        let (stepped, stepped_bits) = run(false);
-        let (event, event_bits) = run(true);
+        let (stepped, stepped_bits) = run(true);
+        let (event, event_bits) = run(false);
         assert_eq!(event_bits, stepped_bits, "output bits diverged (n={n} mcfg={mcfg:?})");
         assert_eq!(
             event, stepped,
@@ -896,8 +898,11 @@ fn snapshot_resume_replays_equal_straight_runs() {
             .with_srf(copts.srf)
             .with_warmup(rng.bool())
             .in_order(rng.bool())
-            .with_task_log(true)
-            .fast_sim(rng.bool());
+            .with_task_log(true);
+        // Snapshots must replay exactly in both engines.
+        if rng.bool() {
+            exec = exec.stepped_oracle();
+        }
         if rng.bool() {
             exec = exec.with_profile(true).with_sample_interval(rng.range_u64(256, 65_536));
         }
