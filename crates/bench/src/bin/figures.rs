@@ -122,13 +122,15 @@
 //! `--sketch` switches the run to bounded memory for 10⁶–10⁷-job
 //! traces: latency quantiles come from a mergeable log-bucketed sketch
 //! (relative error ≤ `--sketch-gamma`, default 1%; the artifact
-//! records the estimator kind and its bound), registry windows stream
-//! out and are evicted as virtual time passes them, and only a
-//! deterministic 1-in-stride record sample is kept for the functional
-//! replay — memory is O(pending + open windows), independent of
-//! `--jobs`. Exact mode refuses more than 200 000 jobs and points
-//! here. The span buffer is always bounded (`--span-cap`, default
-//! 262144 events); overflow drops spans, counts them in the artifact's
+//! records the estimator kind and its bound) and only a deterministic
+//! 1-in-stride record sample is kept for the functional replay.
+//! Registry windows stream out and are evicted as virtual time passes
+//! them in every mode, so with `--sketch` memory is O(pending + open
+//! windows), independent of `--jobs`. Exact mode refuses more than
+//! 200 000 jobs and points here; any mode refuses a `--window` that
+//! cuts the offered trace into more than 65 536 windows. The span
+//! buffer is always bounded (`--span-cap`, default 262144 events);
+//! overflow drops spans, counts them in the artifact's
 //! `spans_dropped`, and warns on stderr. Long runs print a stderr
 //! heartbeat every ~10% of jobs when stderr is a TTY; `--quiet`
 //! silences it. None of this changes artifact bytes.
@@ -362,7 +364,14 @@ fn profile_main(args: &[String]) -> ! {
             "--out" => out_dir = Some(value(args, &mut i, "--out")),
             "--interval" => {
                 let v = value(args, &mut i, "--interval");
-                interval = Some(v.parse().unwrap_or_else(|_| usage("--interval needs a number")));
+                let n: u64 = v.parse().unwrap_or_else(|_| usage("--interval needs a number"));
+                if n == 0 {
+                    usage("--interval needs a positive cycle count");
+                }
+                if fig::profiling::telemetry_window(n).is_none() {
+                    usage("--interval is too large (its telemetry window, 4x, overflows)");
+                }
+                interval = Some(n);
             }
             "--check" => check = true,
             "--in-order" => in_order = true,
@@ -371,6 +380,7 @@ fn profile_main(args: &[String]) -> ! {
             "--native" => {
                 // Optional repeat count: `--native 7` or bare `--native`.
                 native = Some(match args.get(i + 1).and_then(|v| v.parse().ok()) {
+                    Some(0) => usage("--native needs a positive repeat count"),
                     Some(n) => {
                         i += 1;
                         n
@@ -789,6 +799,17 @@ fn serve_main(args: &[String]) -> ! {
             gpstream_serve::EXACT_MODE_MAX_JOBS
         ));
     }
+    if cfg.offered_windows() > gpstream_serve::MAX_WINDOWS {
+        usage(&format!(
+            "--window {} cuts the offered trace ({} jobs at {} cycles apart) into {} windows, \
+             more than the limit of {}; use a longer window",
+            cfg.effective_window_cycles(),
+            cfg.jobs,
+            cfg.mean_interarrival_cycles(),
+            cfg.offered_windows(),
+            gpstream_serve::MAX_WINDOWS
+        ));
+    }
     // Progress heartbeat: stderr-only, so it can never perturb an
     // artifact; auto-off when stderr is not a terminal (CI logs).
     cfg.progress = !quiet && std::io::IsTerminal::is_terminal(&std::io::stderr());
@@ -854,7 +875,7 @@ fn serve_main(args: &[String]) -> ! {
         std::fs::write(path, outcome.telemetry.timeseries_csv()).expect("write time series");
         println!(
             "wrote telemetry time series to {path} ({} cycles per window)",
-            outcome.telemetry.window_cycles
+            outcome.telemetry.series.window_cycles
         );
     }
     std::process::exit(0);

@@ -27,11 +27,20 @@ pub struct ProfileOutputs {
     pub samples_csv: String,
     /// The same counter stream re-aggregated through the
     /// `gpstream-telemetry` windowed registry (one counter per memory
-    /// statistic, tumbling windows of four sample intervals) as CSV.
-    /// Window deltas provably sum to the run totals.
+    /// statistic, tumbling windows of [`telemetry_window`] cycles) as
+    /// CSV. Window deltas provably sum to the run totals.
     pub telemetry_csv: String,
     /// The whole profile as one JSON document.
     pub json: String,
+}
+
+/// The telemetry window for a sampling interval: four intervals,
+/// coarse enough that the windowed view aggregates rather than mirrors
+/// the raw samples, still fine enough to see phase transitions. `None`
+/// when it does not fit a `u64`.
+#[must_use]
+pub fn telemetry_window(interval: u64) -> Option<u64> {
+    interval.checked_mul(4)
 }
 
 /// Profile one catalog workload (see
@@ -43,8 +52,9 @@ pub struct ProfileOutputs {
 ///
 /// # Panics
 ///
-/// Panics if the workload fails to compile under the paper's default
-/// options or the run does not reproduce the functional oracle.
+/// Panics if `interval` is zero or has no [`telemetry_window`], if the
+/// workload fails to compile under the paper's default options, or if
+/// the run does not reproduce the functional oracle.
 #[must_use]
 pub fn profile_workload(
     name: &str,
@@ -52,6 +62,8 @@ pub fn profile_workload(
     in_order: bool,
 ) -> Option<ProfileOutputs> {
     let wl = workloads::named(name)?;
+    let interval = interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
+    let window = telemetry_window(interval).expect("sample interval times four fits a u64");
     let copts = CompilerOptions::paper();
     let compiled = compile(&wl.graph, &copts).expect("catalog workload compiles");
     let mut world = wl.world.clone();
@@ -61,7 +73,7 @@ pub fn profile_workload(
         .with_warmup(wl.warmup)
         .in_order(in_order)
         .with_profile(true)
-        .with_sample_interval(interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL))
+        .with_sample_interval(interval)
         .run(&compiled.schedule, &compiled.graph, &mut world);
     assert!(wl.matches_oracle(&world), "profiled run must reproduce the oracle");
     let prof = sim_report.profile.expect("profiling was enabled");
@@ -74,12 +86,8 @@ pub fn profile_workload(
         &sim_report.timing.ctx_cycles,
         &sim_report.timing.phases,
     );
-    // Tumbling windows of four sample intervals: coarse enough that the
-    // windowed view aggregates rather than mirrors the raw samples,
-    // still fine enough to see phase transitions.
-    let window = interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL) * 4;
     let telemetry_csv =
-        gpstream_telemetry::sim::from_sim_samples(&prof.samples, window).series().to_csv();
+        gpstream_telemetry::sim::from_sim_samples(&prof.samples, window).finish().csv;
     Some(ProfileOutputs {
         workload: name.to_string(),
         perf_stat: report::perf_stat_text(name, &counters),
@@ -139,8 +147,18 @@ mod tests {
         assert_eq!(a.json, b.json);
         assert!(a.perf_stat.contains("cycles"));
         assert!(a.folded.contains("ldstcomp;"));
-        assert!(a.telemetry_csv.starts_with("window,start_cycle,end_cycle,"));
-        assert!(a.telemetry_csv.lines().count() > 1, "windowed series has rows");
+        // `figures profile ldstcomp --out DIR` writes this as
+        // DIR/telemetry.csv; hold it to committed bytes.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../profiles/telemetry/ldstcomp.csv");
+        let committed = std::fs::read_to_string(path).expect(
+            "profiles/telemetry/ldstcomp.csv is committed; regenerate with \
+             `figures profile ldstcomp --out DIR` and copy DIR/telemetry.csv",
+        );
+        assert_eq!(
+            a.telemetry_csv, committed,
+            "ldstcomp telemetry series drifted from the committed baseline; \
+             regenerate profiles/telemetry/ldstcomp.csv if the change is intentional"
+        );
     }
 
     #[test]

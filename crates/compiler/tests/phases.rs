@@ -152,7 +152,7 @@ fn fusion_chains_through_three_kernels() {
 }
 
 #[test]
-fn variable_rate_streams_schedule_with_worst_case_buffers() {
+fn variable_rate_streams_are_scheduled_with_worst_case_buffers() {
     // SpMV-like shape: value stream at nnz rate, output at row rate.
     let rows = 600usize;
     let lens: Vec<usize> = (0..rows).map(|r| 1 + r % 7).collect();

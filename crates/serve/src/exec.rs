@@ -130,7 +130,20 @@ mod tests {
     use super::*;
     use crate::job::build_table;
     use crate::load::{generate, LoadConfig};
-    use crate::sched::{schedule, SchedConfig};
+    use crate::sched::{schedule_stream, JobRecord, SchedConfig, SchedObserver};
+
+    /// Keeps every retired record.
+    #[derive(Default)]
+    struct Retired(Vec<JobRecord>);
+
+    impl SchedObserver for Retired {
+        fn on_complete(&mut self, rec: &JobRecord) {
+            self.0.push(*rec);
+        }
+        fn on_rejected(&mut self, rec: &JobRecord) {
+            self.0.push(*rec);
+        }
+    }
 
     #[test]
     fn executes_a_small_schedule_exactly_once_on_any_pool_size() {
@@ -154,7 +167,10 @@ mod tests {
             weights: vec![1, 1, 1],
             check_invariants: true,
         };
-        let (records, stats) = schedule(&offered, &table.service_cycles(), &cfg);
+        let mut retired = Retired::default();
+        let stats = schedule_stream(offered, &table.service_cycles(), &cfg, &mut retired);
+        let mut records = retired.0;
+        records.sort_unstable_by_key(|r| r.id);
         for pool_threads in [1, 3] {
             let exec = execute(&table, &records, pool_threads);
             assert_eq!(exec.executed, stats.completed);

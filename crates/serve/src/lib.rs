@@ -49,11 +49,8 @@ pub use load::{Arrivals, LoadConfig, OfferedJob};
 pub use report::{
     artifact_json, render, summarize, LatencyObserver, LatencySummary, TenantLatency,
 };
-pub use sched::{
-    schedule, schedule_stream, schedule_with, JobRecord, Outcome, SchedConfig, SchedObserver,
-    SchedStats,
-};
-pub use telemetry::{SeriesExport, ServeTelemetry, TelemetryOutcome, DEFAULT_SPAN_CAPACITY};
+pub use sched::{schedule_stream, JobRecord, Outcome, SchedConfig, SchedObserver, SchedStats};
+pub use telemetry::{ServeTelemetry, TelemetryOutcome, DEFAULT_SPAN_CAPACITY};
 
 use gpstream_telemetry::SloTarget;
 use gpstream_util::Estimator;
@@ -71,6 +68,12 @@ pub const DEFAULT_SEED: u64 = 0x6a79_2005;
 /// this point a run must opt into bounded memory with sketch mode
 /// ([`ServeConfig::sketch`], `figures serve --sketch`).
 pub const EXACT_MODE_MAX_JOBS: usize = 200_000;
+
+/// Most telemetry windows a run may cut its offered trace into. Every
+/// window becomes one CSV row and one JSON object, so a window far
+/// below the inter-arrival gap would make the exports, not the run,
+/// the cost; the default (~48 windows) stays far inside this.
+pub const MAX_WINDOWS: u64 = 65_536;
 
 /// Full configuration of one serving run. Zero/empty means "derive the
 /// default" for the fields documented as such.
@@ -116,8 +119,8 @@ pub struct ServeConfig {
     /// Telemetry/SLO tumbling-window length in cycles; 0 derives
     /// roughly 48 windows across the offered trace.
     pub window_cycles: u64,
-    /// Bounded-memory mode: sketch quantile estimators, streaming
-    /// (evict-as-you-go) registry windows, sampled record keeping.
+    /// Bounded-memory mode: sketch quantile estimators and sampled
+    /// record keeping (registry windows stream out in either mode).
     /// Required above [`EXACT_MODE_MAX_JOBS`] offered jobs.
     pub sketch: bool,
     /// Sketch relative-error bound γ; 0 derives
@@ -265,6 +268,15 @@ impl ServeConfig {
         }
         let gap = self.mean_interarrival_cycles();
         (self.jobs as u64 * gap / 48).max(gap).max(1)
+    }
+
+    /// How many telemetry windows the offered trace spans
+    /// (`jobs × mean inter-arrival / window`, rounded up); runs are
+    /// limited to [`MAX_WINDOWS`].
+    #[must_use]
+    pub fn offered_windows(&self) -> u64 {
+        let trace = (self.jobs as u64).saturating_mul(self.mean_interarrival_cycles());
+        trace.div_ceil(self.effective_window_cycles())
     }
 
     /// The sketch relative-error bound actually used (1% when unset).
@@ -459,7 +471,9 @@ pub struct ScheduledService {
 ///
 /// Panics if `cfg.jobs` exceeds [`EXACT_MODE_MAX_JOBS`] without
 /// `cfg.sketch` — exact mode materializes per-value and per-record
-/// state, which is exactly what sketch mode exists to avoid.
+/// state, which is exactly what sketch mode exists to avoid — or if the
+/// window cuts the offered trace into more than [`MAX_WINDOWS`]
+/// windows.
 #[must_use]
 pub fn schedule_service(cfg: &ServeConfig, table: &VariantTable) -> ScheduledService {
     assert!(
@@ -467,6 +481,12 @@ pub fn schedule_service(cfg: &ServeConfig, table: &VariantTable) -> ScheduledSer
         "exact mode keeps every record and every distinct latency for {} jobs; \
          runs above {EXACT_MODE_MAX_JOBS} must use sketch mode (--sketch)",
         cfg.jobs,
+    );
+    assert!(
+        cfg.offered_windows() <= MAX_WINDOWS,
+        "a {}-cycle window cuts the offered trace into {} windows, more than {MAX_WINDOWS}",
+        cfg.effective_window_cycles(),
+        cfg.offered_windows(),
     );
     let arrivals = Arrivals::new(&LoadConfig {
         jobs: cfg.jobs,
@@ -563,7 +583,7 @@ pub struct ServiceOutcome {
 /// # Panics
 ///
 /// Panics if `cfg.jobs` exceeds [`EXACT_MODE_MAX_JOBS`] without
-/// `cfg.sketch` (see [`schedule_service`]).
+/// `cfg.sketch`, or the window is too fine (see [`schedule_service`]).
 #[must_use]
 pub fn run_service(cfg: &ServeConfig) -> Option<ServiceOutcome> {
     let table = Arc::new(build_table(&cfg.workload, cfg.ctx)?);
@@ -632,6 +652,9 @@ mod tests {
         assert_eq!(cfg.effective_retry_after(), cfg.mean_interarrival_cycles());
         // 3.4 GHz at 500 jobs/s: 6.8M cycles between arrivals.
         assert_eq!(cfg.mean_interarrival_cycles(), 6_800_000);
+        // The derived window cuts the trace into ~48 windows.
+        assert!((48..=49).contains(&cfg.offered_windows()), "{}", cfg.offered_windows());
+        assert!(cfg.offered_windows() <= MAX_WINDOWS);
     }
 
     #[test]

@@ -11,18 +11,15 @@
 //!
 //! Two properties make the plane safe at 10⁶–10⁷ jobs:
 //!
-//! * **Streaming registry.** In sketch mode the metrics registry is
-//!   wrapped in a [`StreamingTelemetry`]: the scheduler's event-loop
-//!   clock is a watermark, windows strictly behind it are finalized,
-//!   flushed through the incremental CSV/JSON appenders (and an
-//!   optional per-window sink) and evicted, so registry memory is
-//!   O(open windows) regardless of run length. The exports are
-//!   byte-identical to the materialized
-//!   [`gpstream_telemetry::TimeSeries`] ones. Latency
-//!   stamps land at a job's *finish* cycle, which is ahead of the
-//!   event-loop clock (a dispatched batch finishes in the future) —
-//!   that is exactly the watermark-safe direction, so the wrapper only
-//!   ever advances past windows nothing can stamp into anymore.
+//! * **Streaming registry.** The scheduler's event-loop clock is the
+//!   registry's watermark: windows strictly behind it are finalized,
+//!   appended to the registry's CSV/JSON exports and evicted, so
+//!   registry memory is O(open windows) regardless of run length, in
+//!   exact and sketch mode alike. Latency stamps land at a job's
+//!   *finish* cycle, which is ahead of the event-loop clock (a
+//!   dispatched batch finishes in the future) — that is exactly the
+//!   watermark-safe direction, so the registry only ever flushes
+//!   windows nothing can stamp into anymore.
 //! * **Bounded span buffer.** The span trace keeps at most a
 //!   configurable number of events; once full, new spans are dropped
 //!   and counted (`spans_dropped`), mirroring the machine-level
@@ -49,57 +46,15 @@ use crate::ServeConfig;
 use gpstream_core::trace::{chrome_trace, ExecEvent, ExecEventKind, TraceRun};
 use gpstream_core::TaskId;
 use gpstream_telemetry::{
-    CounterId, GaugeId, HistId, SloReport, SloTarget, SloTracker, StreamingTelemetry, Telemetry,
-    WindowSink,
+    CounterId, GaugeId, HistId, Series, SloReport, SloTarget, SloTracker, Telemetry,
 };
-use gpstream_util::{Estimator, Json};
+use gpstream_util::Json;
 use std::collections::BTreeMap;
 
 /// Default span-trace capacity in events (not jobs): enough to hold a
 /// full default 10⁴-job run (~6 events per completed job) with room to
 /// spare, small enough that a 10⁷-job run stays bounded.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 18;
-
-/// The registry, in one of its two lifetimes: materialized (windows
-/// kept until `series()` reads them all) or streaming (windows evicted
-/// behind the scheduler-clock watermark).
-enum Reg {
-    Plain(Telemetry),
-    Stream(Box<StreamingTelemetry>),
-}
-
-impl Reg {
-    fn add(&mut self, id: CounterId, cycle: u64, delta: u64) {
-        match self {
-            Reg::Plain(t) => t.add(id, cycle, delta),
-            Reg::Stream(t) => t.add(id, cycle, delta),
-        }
-    }
-
-    fn set(&mut self, id: GaugeId, cycle: u64, value: u64) {
-        match self {
-            Reg::Plain(t) => t.set(id, cycle, value),
-            Reg::Stream(t) => t.set(id, cycle, value),
-        }
-    }
-
-    fn observe(&mut self, id: HistId, cycle: u64, value: u64) {
-        match self {
-            Reg::Plain(t) => t.observe(id, cycle, value),
-            Reg::Stream(t) => t.observe(id, cycle, value),
-        }
-    }
-
-    /// Advance the watermark to the scheduler's event-loop clock,
-    /// flushing every window that ended before it. Only safe with the
-    /// *event-loop* time — never a completion stamp, which lies in the
-    /// future of the loop.
-    fn advance(&mut self, now: u64) {
-        if let Reg::Stream(t) = self {
-            t.advance(now);
-        }
-    }
-}
 
 /// A capacity-bounded span-event buffer with compact task-id
 /// assignment. Once the buffer is full new events are dropped and
@@ -157,7 +112,7 @@ impl SpanBuffer {
 
 /// The scheduler observer that builds the telemetry plane.
 pub struct ServeTelemetry {
-    reg: Reg,
+    reg: Telemetry,
     slo: SloTracker,
     c_arrivals: CounterId,
     c_admits: CounterId,
@@ -180,11 +135,9 @@ impl ServeTelemetry {
     /// An observer for a run with the given window, tenants and
     /// per-tenant SLO targets (`targets.len() == tenants`).
     ///
-    /// `sketch_gamma: Some(γ)` switches the plane to bounded memory:
-    /// latency run totals become sketches with relative error ≤ γ and
-    /// the registry runs in streaming mode (windows evicted behind the
-    /// scheduler clock). `span_capacity` bounds the span buffer in
-    /// events.
+    /// `sketch_gamma: Some(γ)` makes the latency run totals sketches
+    /// with relative error ≤ γ instead of exact histograms.
+    /// `span_capacity` bounds the span buffer in events.
     ///
     /// # Panics
     ///
@@ -202,34 +155,29 @@ impl ServeTelemetry {
     ) -> Self {
         assert_eq!(targets.len(), tenants, "one SLO target per tenant");
         assert!(tenants + workers <= 256, "trace lanes are indexed by a u8");
-        let mut tel = Telemetry::new(window_cycles);
+        let mut reg = Telemetry::new(window_cycles);
         let mut slo = SloTracker::new(window_cycles);
         for (t, target) in targets.iter().enumerate() {
             let _ = slo.tenant(&format!("tenant{t}"), *target);
         }
-        let c_arrivals = tel.counter("arrivals");
-        let c_admits = tel.counter("admits");
-        let c_rejects = tel.counter("reject_events");
-        let c_final_rejects = tel.counter("final_rejects");
-        let c_batches = tel.counter("batches");
-        let c_dispatch_cycles = tel.counter("dispatch_cycles");
-        let c_completions = tel.counter("completions");
-        let c_served_cycles = tel.counter("served_cycles");
+        let c_arrivals = reg.counter("arrivals");
+        let c_admits = reg.counter("admits");
+        let c_rejects = reg.counter("reject_events");
+        let c_final_rejects = reg.counter("final_rejects");
+        let c_batches = reg.counter("batches");
+        let c_dispatch_cycles = reg.counter("dispatch_cycles");
+        let c_completions = reg.counter("completions");
+        let c_served_cycles = reg.counter("served_cycles");
         let c_tenant_completed =
-            (0..tenants).map(|t| tel.counter(&format!("tenant{t}_completed"))).collect();
-        let g_pending = tel.gauge("pending");
-        let hist = |tel: &mut Telemetry, name: &str| match sketch_gamma {
-            Some(gamma) => tel.hist_sketch(name, gamma),
-            None => tel.hist(name),
+            (0..tenants).map(|t| reg.counter(&format!("tenant{t}_completed"))).collect();
+        let g_pending = reg.gauge("pending");
+        let hist = |reg: &mut Telemetry, name: &str| match sketch_gamma {
+            Some(gamma) => reg.hist_sketch(name, gamma),
+            None => reg.hist(name),
         };
-        let h_queue = hist(&mut tel, "queue_cycles");
-        let h_service = hist(&mut tel, "service_cycles");
-        let h_total = hist(&mut tel, "total_cycles");
-        let reg = if sketch_gamma.is_some() {
-            Reg::Stream(Box::new(StreamingTelemetry::new(tel)))
-        } else {
-            Reg::Plain(tel)
-        };
+        let h_queue = hist(&mut reg, "queue_cycles");
+        let h_service = hist(&mut reg, "service_cycles");
+        let h_total = hist(&mut reg, "total_cycles");
         Self {
             reg,
             slo,
@@ -248,20 +196,6 @@ impl ServeTelemetry {
             h_total,
             spans: SpanBuffer::new(span_capacity),
             tenants,
-        }
-    }
-
-    /// Attach a per-window sink, called once per finalized window in
-    /// ascending order as the run streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics in materialized (non-sketch) mode, where windows are not
-    /// finalized until the run ends.
-    pub fn set_window_sink(&mut self, sink: WindowSink) {
-        match &mut self.reg {
-            Reg::Stream(t) => t.set_sink(sink),
-            Reg::Plain(_) => panic!("window sinks need the streaming registry (sketch mode)"),
         }
     }
 
@@ -288,44 +222,11 @@ impl ServeTelemetry {
     ///
     /// # Panics
     ///
-    /// In streaming mode, panics if the flushed window deltas fail to
-    /// re-merge into the run totals (the sum-to-total invariant).
+    /// Panics if the flushed window deltas fail to re-merge into the run
+    /// totals (the sum-to-total invariant).
     #[must_use]
     pub fn finish(self, cfg: &ServeConfig) -> TelemetryOutcome {
-        let series = match self.reg {
-            Reg::Plain(tel) => {
-                let s = tel.series();
-                let windows = s.windows.len() as u64;
-                let csv = s.to_csv();
-                let json = s.to_json().to_doc_string();
-                SeriesExport {
-                    window_cycles: s.window_cycles,
-                    counter_names: s.counter_names,
-                    gauge_names: s.gauge_names,
-                    hist_names: s.hist_names,
-                    counter_totals: s.counter_totals,
-                    hist_totals: s.hist_totals,
-                    windows,
-                    csv,
-                    json,
-                }
-            }
-            Reg::Stream(streaming) => {
-                let s = streaming.finish();
-                SeriesExport {
-                    window_cycles: s.window_cycles,
-                    counter_names: s.counter_names,
-                    gauge_names: s.gauge_names,
-                    hist_names: s.hist_names,
-                    counter_totals: s.counter_totals,
-                    hist_totals: s.hist_totals,
-                    windows: s.windows_flushed,
-                    csv: s.csv,
-                    json: s.json,
-                }
-            }
-        };
-        let window_cycles = series.window_cycles;
+        let series = self.reg.finish();
         let slo = self.slo.report();
         let slo_artifact = slo
             .artifact_json(
@@ -354,7 +255,7 @@ impl ServeTelemetry {
             events: self.spans.events,
             dropped: spans_dropped,
         };
-        TelemetryOutcome { window_cycles, series, slo, slo_artifact, trace, spans_dropped }
+        TelemetryOutcome { series, slo, slo_artifact, trace, spans_dropped }
     }
 }
 
@@ -457,43 +358,12 @@ impl SchedObserver for ServeTelemetry {
     }
 }
 
-/// One run's exported metric series: names, run totals and the
-/// rendered CSV/JSON documents. In streaming mode the documents were
-/// appended window by window as the run progressed (byte-identical to
-/// the materialized exports); either way the per-window data lives in
-/// the documents, not in memory.
-#[derive(Debug, Clone)]
-pub struct SeriesExport {
-    /// Window length in cycles.
-    pub window_cycles: u64,
-    /// Counter names, in registration order.
-    pub counter_names: Vec<String>,
-    /// Gauge names, in registration order.
-    pub gauge_names: Vec<String>,
-    /// Histogram names, in registration order.
-    pub hist_names: Vec<String>,
-    /// Run totals per counter (window deltas sum to these —
-    /// property-checked by the registry).
-    pub counter_totals: Vec<u64>,
-    /// Run-total latency estimators — exact histograms, or sketches in
-    /// bounded-memory mode.
-    pub hist_totals: Vec<Estimator>,
-    /// Number of windows the series covers.
-    pub windows: u64,
-    /// The CSV document (one row per window).
-    pub csv: String,
-    /// The canonical one-line JSON document (trailing newline).
-    pub json: String,
-}
-
 /// The telemetry plane's exported view of one serving run.
 #[derive(Debug, Clone)]
 pub struct TelemetryOutcome {
-    /// Tumbling-window length in cycles.
-    pub window_cycles: u64,
     /// The windowed metric series (delta-sum invariants already
-    /// asserted by construction).
-    pub series: SeriesExport,
+    /// asserted by [`Telemetry::finish`]).
+    pub series: Series,
     /// Per-tenant SLO accounting.
     pub slo: SloReport,
     /// The `slo` artifact document (single line + newline).

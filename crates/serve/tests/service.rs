@@ -8,11 +8,13 @@
 //!   4 tenants). The telemetry plane (windowed time series, SLO
 //!   artifact, span trace) is held to the same byte-identical bar.
 //! * **Committed SLO baseline** — re-running the catalog-mix SLO
-//!   experiment reproduces `profiles/serve/slo-mix.json` byte for byte.
+//!   experiment reproduces `profiles/serve/slo-mix.json` and its
+//!   windowed time series `profiles/serve/timeseries-mix.csv` byte for
+//!   byte.
 //! * **Backpressure** — under 2x overload, bounded admission beats
 //!   unbounded queueing on p99 total latency (the committed ablation).
 //! * **Fair sharing** — the weighted fair scheduler is work-conserving
-//!   (asserted inside `schedule` on every dispatch round) and delivers
+//!   (asserted inside `schedule_stream` on every dispatch round) and delivers
 //!   service in proportion to tenant weights while everyone is
 //!   backlogged, over long deterministic traces.
 //!
@@ -20,8 +22,8 @@
 //! latency-vs-profile comparison as a kind mismatch.
 
 use gpstream_serve::{
-    ablation, build_table, run_service, schedule, schedule_service, OfferedJob, Outcome,
-    SchedConfig, ServeConfig, EXACT_MODE_MAX_JOBS,
+    ablation, build_table, run_service, schedule_service, schedule_stream, JobRecord, OfferedJob,
+    Outcome, SchedConfig, SchedObserver, SchedStats, ServeConfig, EXACT_MODE_MAX_JOBS, MAX_WINDOWS,
 };
 use gpstream_util::check::run_cases;
 use gpstream_util::{Estimator, Rng64};
@@ -105,6 +107,20 @@ fn committed_slo_artifact_reproduces_byte_for_byte() {
     // `figures diff` can read it.
     let art = gpstream_profile::Artifact::parse(committed.trim_end()).expect("slo parses");
     assert_eq!(art.kind.name(), "slo");
+
+    // The same run's windowed series against its committed bytes:
+    //   figures serve mix --jobs 5000 --timeseries profiles/serve/timeseries-mix.csv
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../profiles/serve/timeseries-mix.csv");
+    let committed = std::fs::read_to_string(path).expect(
+        "profiles/serve/timeseries-mix.csv is committed; regenerate with \
+         `figures serve mix --jobs 5000 --timeseries profiles/serve/timeseries-mix.csv`",
+    );
+    assert_eq!(
+        outcome.telemetry.timeseries_csv(),
+        committed,
+        "time series for the catalog mix drifted from the committed baseline; \
+         regenerate profiles/serve/timeseries-mix.csv if the change is intentional"
+    );
 }
 
 #[test]
@@ -124,6 +140,31 @@ fn bounded_admission_beats_unbounded_on_p99_total_under_overload() {
     assert!(bounded.stats.max_pending <= bounded.cfg.effective_queue_cap());
     assert!(unbounded.stats.rejected == 0);
     assert!(unbounded.stats.max_pending > 4 * bounded.cfg.effective_queue_cap());
+}
+
+/// Keeps every retired record.
+#[derive(Default)]
+struct Retired(Vec<JobRecord>);
+
+impl SchedObserver for Retired {
+    fn on_complete(&mut self, rec: &JobRecord) {
+        self.0.push(*rec);
+    }
+    fn on_rejected(&mut self, rec: &JobRecord) {
+        self.0.push(*rec);
+    }
+}
+
+/// Schedule time-ordered `offered`; records come back sorted by id.
+fn schedule_all(
+    offered: &[OfferedJob],
+    service_cycles: &[u64],
+    cfg: &SchedConfig,
+) -> (Vec<JobRecord>, SchedStats) {
+    let mut retired = Retired::default();
+    let stats = schedule_stream(offered.iter().copied(), service_cycles, cfg, &mut retired);
+    retired.0.sort_unstable_by_key(|r| r.id);
+    (retired.0, stats)
 }
 
 /// A saturating synthetic trace: `jobs` arrivals one cycle apart,
@@ -157,7 +198,7 @@ fn fair_share_property_service_tracks_weights_while_backlogged() {
             weights: weights.clone(),
             check_invariants: true,
         };
-        let (records, stats) = schedule(&offered, &[service], &cfg);
+        let (records, stats) = schedule_all(&offered, &[service], &cfg);
         assert_eq!(stats.completed, jobs as u64);
 
         // Service delivered per tenant among jobs finishing while the
@@ -221,7 +262,7 @@ fn fair_share_property_work_conserving_under_random_load() {
             weights: (0..tenants).map(|_| 1 + rng.below(5)).collect(),
             check_invariants: true,
         };
-        let (records, stats) = schedule(&offered, &variants, &cfg);
+        let (records, stats) = schedule_all(&offered, &variants, &cfg);
         assert_eq!(records.len(), 600);
         assert_eq!(stats.completed + stats.rejected, 600);
         // Busy cycles can never exceed the span each worker had.
@@ -247,7 +288,7 @@ fn retries_are_bounded_and_recorded() {
         weights: vec![1, 1],
         check_invariants: true,
     };
-    let (records, stats) = schedule(&offered, &[10_000], &cfg);
+    let (records, stats) = schedule_all(&offered, &[10_000], &cfg);
     assert!(stats.rejected > 0, "tiny queue under saturation must shed load");
     for r in &records {
         assert!(r.attempts <= cfg.max_retries + 1, "job {} took {} attempts", r.id, r.attempts);
@@ -347,9 +388,9 @@ fn sketch_mode_is_byte_identical_and_bounded() {
         a.records.iter().filter(|r| matches!(r.outcome, Outcome::Completed { .. })).count() as u64
     );
 
-    // The streamed registry flushed every window and the CSV matches
-    // the exact-mode (materialized) export byte for byte: windows are
-    // exact in both modes, only run totals are sketched.
+    // The registry flushed every window and the CSV matches the
+    // exact-mode export byte for byte: windows are exact in both modes,
+    // only run totals are sketched.
     assert!(a.telemetry.series.windows > 0);
     let mut exact_cfg = cfg.clone();
     exact_cfg.sketch = false;
@@ -357,7 +398,7 @@ fn sketch_mode_is_byte_identical_and_bounded() {
     assert_eq!(
         a.telemetry.timeseries_csv(),
         e.telemetry.timeseries_csv(),
-        "streamed window CSV must equal the materialized exact-mode export"
+        "sketch-mode window CSV must equal the exact-mode export"
     );
 }
 
@@ -421,6 +462,18 @@ fn sketch_quantiles_stay_within_their_declared_bound_of_exact() {
 fn exact_mode_fails_fast_above_the_job_limit() {
     let mut cfg = ServeConfig::new("ldstcomp");
     cfg.jobs = EXACT_MODE_MAX_JOBS + 1;
+    let table = build_table(&cfg.workload, cfg.ctx).expect("known workload");
+    // Panics before scheduling a single job.
+    let _ = schedule_service(&cfg, &table);
+}
+
+#[test]
+#[should_panic(expected = "more than 65536")]
+fn a_window_too_fine_for_the_trace_fails_fast() {
+    let mut cfg = ServeConfig::new("ldstcomp");
+    cfg.jobs = 50;
+    cfg.window_cycles = 1;
+    assert!(cfg.offered_windows() > MAX_WINDOWS);
     let table = build_table(&cfg.workload, cfg.ctx).expect("known workload");
     // Panics before scheduling a single job.
     let _ = schedule_service(&cfg, &table);

@@ -10,15 +10,13 @@
 //!   gauges and exact [`gpstream_util::Histogram`]s, aggregated into
 //!   cycle-stamped tumbling windows. Per-window snapshots are *deltas*:
 //!   summing a counter's windows reproduces its run total exactly, and
-//!   merging a histogram's windows reproduces the run-total histogram
-//!   byte-identically (property-tested, not assumed). Run totals are
+//!   merging a histogram's windows reproduces the run-total estimator
+//!   byte-identically (asserted on every export). Run totals are
 //!   [`gpstream_util::Estimator`]s — exact by default, bounded-memory
-//!   sketches on request. Time series export as CSV and canonical JSON.
-//! * [`stream`] — the registry's streaming mode: tumbling windows are
-//!   finalized and evicted as a virtual-time watermark advances past
-//!   them, flushed through incremental CSV/JSON appenders (and an
-//!   optional sink) that are byte-identical to the materialized
-//!   exports, so registry memory is O(open windows) at any run length.
+//!   sketches on request. Windows behind the producer's virtual-time
+//!   watermark are evicted into incremental CSV/JSON exports as the run
+//!   goes, so registry memory is O(open windows) at any run length; a
+//!   registry that is never advanced exports the same bytes at the end.
 //! * [`slo`] — per-tenant service-level objectives (latency threshold +
 //!   objective fraction) with error-budget and burn-rate accounting per
 //!   window, rendered as text and as the workspace's `slo` artifact
@@ -38,8 +36,6 @@
 pub mod registry;
 pub mod sim;
 pub mod slo;
-pub mod stream;
 
-pub use registry::{CounterId, GaugeId, HistId, Telemetry, TimeSeries, WindowSnapshot};
+pub use registry::{CounterId, GaugeId, HistId, Series, Telemetry};
 pub use slo::{SloReport, SloTarget, SloTracker, TenantSlo};
-pub use stream::{StreamedSeries, StreamingTelemetry, WindowSink};

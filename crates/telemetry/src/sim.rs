@@ -6,8 +6,10 @@
 //! deltas and filed into a [`Telemetry`] registry at each sample's own
 //! cycle stamp, machine-level counters come out the same windowed,
 //! delta-sum-exact shape as the serving harness's service metrics — one
-//! observation plane for both layers, and the registry's `series()`
-//! assertion re-proves that the deltas reproduce the run totals.
+//! observation plane for both layers, and [`Telemetry::finish`]
+//! re-proves that the deltas reproduce the run totals. Samples arrive
+//! in time order, so the registry is advanced to each sample's stamp
+//! and holds only the window still open.
 
 use crate::registry::{CounterId, Telemetry};
 use gpstream_machine::{CounterSample, MemStats};
@@ -30,6 +32,7 @@ pub fn from_sim_samples(samples: &[CounterSample], window_cycles: u64) -> Teleme
     for s in samples {
         assert!(s.t >= prev_t, "interval samples must be in time order");
         prev_t = s.t;
+        t.advance(s.t);
         let delta = s.stats.delta(&prev);
         for (&id, (_, v)) in ids.iter().zip(delta.fields().iter()) {
             if *v > 0 {
@@ -52,25 +55,25 @@ mod tests {
     #[test]
     fn cumulative_samples_become_window_deltas_summing_to_totals() {
         let samples = [sample(100, 4, 64), sample(200, 9, 640), sample(350, 9, 704)];
-        let tel = from_sim_samples(&samples, 100);
-        let s = tel.series();
+        let s = from_sim_samples(&samples, 100).finish();
         let l2 = s.counter_names.iter().position(|n| n == "l2_misses").expect("field registered");
         let bus = s.counter_names.iter().position(|n| n == "bus_bytes").expect("field registered");
         assert_eq!(s.counter_totals[l2], 9);
         assert_eq!(s.counter_totals[bus], 704);
         // Sample at t=100 lands in window 1, t=200 in window 2, t=350 in
         // window 3; deltas are 4/5/0 misses and 64/576/64 bytes.
-        let per_window: Vec<u64> = s.windows.iter().map(|w| w.counters[l2]).collect();
-        assert_eq!(per_window, [0, 4, 5, 0]);
-        let per_window: Vec<u64> = s.windows.iter().map(|w| w.counters[bus]).collect();
-        assert_eq!(per_window, [0, 64, 576, 64]);
+        let column = |i: usize| -> Vec<String> {
+            s.csv.lines().skip(1).map(|r| r.split(',').nth(3 + i).unwrap().to_string()).collect()
+        };
+        assert_eq!(column(l2), ["0", "4", "5", "0"]);
+        assert_eq!(column(bus), ["0", "64", "576", "64"]);
     }
 
     #[test]
     fn empty_sample_list_yields_empty_series() {
-        let tel = from_sim_samples(&[], 128);
-        assert!(tel.series().windows.is_empty());
-        assert_eq!(tel.series().counter_names.len(), MemStats::NUM_FIELDS);
+        let s = from_sim_samples(&[], 128).finish();
+        assert_eq!(s.windows, 0);
+        assert_eq!(s.counter_names.len(), MemStats::NUM_FIELDS);
     }
 
     #[test]
